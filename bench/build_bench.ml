@@ -14,10 +14,11 @@
    Results go to BENCH_build.json; --assert additionally fails the run
    unless the compression met its budget un-degraded and the loaded
    snapshot round-trips.  Absolute times are machine-bound, so the
-   regression gate compares nodes_per_sec against a committed baseline
-   as a FLOOR: fresh throughput must not fall below
-   [baseline / (1 + tolerance)] (default tolerance 1.0, i.e. half the
-   baseline — CI boxes are noisy).
+   regression gates compare against a committed baseline with a
+   relative tolerance (default 1.0 — CI boxes are noisy):
+   nodes_per_sec as a FLOOR, [baseline / (1 + tolerance)], i.e. half
+   the baseline; compress_s as a CEILING, [baseline * (1 + tolerance)],
+   i.e. twice the baseline.
 
    Usage: build_bench [--out PATH] [--scale S] [--budget BYTES]
                       [--assert] [--baseline FILE [--tolerance R]]
@@ -108,30 +109,41 @@ let scrape_floats text key =
   done;
   List.rev !out
 
-let throughput text what =
-  match scrape_floats text "nodes_per_sec" with
+let scrape_one text key what =
+  match scrape_floats text key with
   | r :: _ -> r
-  | [] -> failwith (Printf.sprintf "%s: cannot scrape nodes_per_sec" what)
+  | [] -> failwith (Printf.sprintf "%s: cannot scrape %s" what key)
 
 let check_baseline ~current path =
   let ic = open_in path in
   let n = in_channel_length ic in
   let baseline = really_input_string ic n in
   close_in ic;
-  let base = throughput baseline ("baseline " ^ path) in
-  let cur = throughput current "current run" in
+  let field key =
+    (scrape_one baseline key ("baseline " ^ path), scrape_one current key "current run")
+  in
+  let base, cur = field "nodes_per_sec" in
   let floor = base /. (1.0 +. !tolerance) in
   Printf.printf
     "build bench baseline: nodes_per_sec %.0f vs baseline %.0f (floor %.0f, \
      tolerance %.0f%%)\n"
     cur base floor (!tolerance *. 100.0);
-  if cur < floor then begin
+  let base_c, cur_c = field "compress_s" in
+  let ceiling = base_c *. (1.0 +. !tolerance) in
+  Printf.printf
+    "build bench baseline: compress_s %.4f vs baseline %.4f (ceiling %.4f, \
+     tolerance %.0f%%)\n"
+    cur_c base_c ceiling (!tolerance *. 100.0);
+  if cur < floor then
     Printf.eprintf
       "FAIL: build throughput %.0f nodes/s fell below baseline %.0f / \
        (1 + %.0f%%) (%s)\n"
       cur base (!tolerance *. 100.0) path;
-    exit 1
-  end
+  if cur_c > ceiling then
+    Printf.eprintf
+      "FAIL: compression took %.4fs, above baseline %.4fs * (1 + %.0f%%) (%s)\n"
+      cur_c base_c (!tolerance *. 100.0) path;
+  if cur < floor || cur_c > ceiling then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Harness                                                             *)

@@ -31,10 +31,10 @@ type t = {
   mutable edges : int;
   mutable sq : float;
   out : (int, stats) Hashtbl.t array;
-      (* per representative: target representative -> stats.  Keys may
-         be stale (merged-away) ids; they are renamed on access, which
-         is safe because cross-term-carrying collapses are applied
-         eagerly at merge time. *)
+      (* per representative: target representative -> stats.  Every
+         key is a live representative: [merge] collapses the (u, v)
+         dimensions of common parents and renames v to u in parents
+         that only reached v, so lookups need no renaming. *)
   sqout : float array;  (* derived from [out], kept in sync *)
 }
 
@@ -71,33 +71,10 @@ let alive_ids t =
   done;
   !acc
 
-(* Rename stale keys in a stats map.  Pure renames only: a collapse of
-   two live dimensions is handled eagerly during [merge]. *)
-let normalize t map =
-  let stale = ref [] in
-  Hashtbl.iter (fun k _ -> if not (is_rep t k) then stale := k :: !stale) !map;
-  match !stale with
-  | [] -> ()
-  | stale ->
-    List.iter
-      (fun k ->
-        let st = Hashtbl.find !map k in
-        let k' = find t k in
-        Hashtbl.remove !map k;
-        (match Hashtbl.find_opt !map k' with
-        | Some dst ->
-          (* both keys were live when last written only if their merge's
-             cross term was already folded in; adding is then correct *)
-          dst.sum <- dst.sum +. st.sum;
-          dst.sumsq <- dst.sumsq +. st.sumsq
-        | None -> Hashtbl.add !map k' st))
-      stale
-
-let out_map t u =
-  let map = ref t.out.(u) in
-  normalize t map;
-  t.out.(u) <- !map;
-  t.out.(u)
+let check_invariant t =
+  List.for_all
+    (fun u -> Hashtbl.fold (fun k _ ok -> ok && is_rep t k) t.out.(u) true)
+    (alive_ids t)
 
 let sq_of_map n map =
   Hashtbl.fold
@@ -150,7 +127,7 @@ let get_stats map k =
 (* Children-part statistics of the merged cluster, and the number of
    distinct out-dimensions it would have. *)
 let merged_children t u v per_parent =
-  let mu = out_map t u and mv = out_map t v in
+  let mu = t.out.(u) and mv = t.out.(v) in
   let n_x = t.count.(u) +. t.count.(v) in
   (* union of dimensions with u, v collapsed into one ("x") *)
   let sq_acc = ref 0. and dims = ref 0 in
@@ -204,7 +181,7 @@ let evaluate t u v =
   Hashtbl.iter
     (fun p info ->
       if p <> u && p <> v && info.has_u && info.has_v then begin
-        let mp = out_map t p in
+        let mp = t.out.(p) in
         let sum_pu, _ = get_stats mp u and sum_pv, _ = get_stats mp v in
         let d = 2. *. (info.cross -. (sum_pu *. sum_pv /. t.count.(p))) in
         delta_parents := !delta_parents +. d;
@@ -212,7 +189,7 @@ let evaluate t u v =
         commons := (p, info.cross, d) :: !commons
       end)
     per_parent;
-  let out_u = Hashtbl.length (out_map t u) and out_v = Hashtbl.length (out_map t v) in
+  let out_u = Hashtbl.length t.out.(u) and out_v = Hashtbl.length t.out.(v) in
   let out_saved = out_u + out_v - dims_x in
   let errd = delta_children +. !delta_parents in
   let sized = Synopsis.node_bytes + (Synopsis.edge_bytes * (out_saved + !in_saved)) in
@@ -232,7 +209,7 @@ let merge t u v =
   let errd, _, edges_saved, sq_x, x_sum, x_sumsq, commons, per_parent =
     evaluate t u v
   in
-  let mu = out_map t u and mv = out_map t v in
+  let mu = t.out.(u) and mv = t.out.(v) in
   (* Build the merged out map in place on u's table. *)
   Hashtbl.iter
     (fun w st ->
@@ -248,11 +225,11 @@ let merge t u v =
   Hashtbl.remove mu v;
   if x_sum > 0. then Hashtbl.add mu u { sum = x_sum; sumsq = x_sumsq };
   t.out.(v) <- Hashtbl.create 1;
-  (* Common external parents: collapse their (u, v) dimensions with the
-     cross term, so later lazy renames stay pure. *)
+  (* Common external parents: collapse their (u, v) dimensions into u
+     with the cross term. *)
   List.iter
     (fun (p, cross, _d) ->
-      let mp = out_map t p in
+      let mp = t.out.(p) in
       let sum_pu, sq_pu = get_stats mp u and sum_pv, sq_pv = get_stats mp v in
       Hashtbl.remove mp u;
       Hashtbl.remove mp v;
@@ -263,6 +240,17 @@ let merge t u v =
         };
       t.sqout.(p) <- sq_of_map t.count.(p) mp)
     commons;
+  (* Parents that reached only v: move the key to u; the statistics,
+     and so [sqout], are unchanged. *)
+  Hashtbl.iter
+    (fun p info ->
+      if p <> u && p <> v && info.has_v && not info.has_u then begin
+        let mp = t.out.(p) in
+        let st = Hashtbl.find mp v in
+        Hashtbl.remove mp v;
+        Hashtbl.add mp u st
+      end)
+    per_parent;
   (* Union: u survives; merge the in-edge maps smaller-into-larger. *)
   let small, big =
     if Hashtbl.length t.inmap.(u) <= Hashtbl.length t.inmap.(v) then
@@ -377,7 +365,7 @@ let to_synopsis t =
     Array.of_list
       (List.map
          (fun r ->
-           let map = out_map t r in
+           let map = t.out.(r) in
            let edges =
              Hashtbl.fold
                (fun tgt st acc ->

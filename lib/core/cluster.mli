@@ -9,7 +9,11 @@
     from the stable summary alone, without touching the base document.
 
     Cluster identifiers are stable-node ids; a merge keeps one of the
-    two ids as the surviving representative.  Each representative
+    two ids as the surviving representative.  Each representative keeps
+    its out-edge statistics keyed by target representative, and a merge
+    renames the merged-away id in every affected map at once, so no map
+    ever holds a dead id ({!check_invariant}) and scoring a candidate
+    only reads the state.  Each representative
     carries a {e version} that is bumped whenever a merge changes its
     statistics or its neighborhood, which is how the candidate heap
     detects stale entries (the [affected(h,m)] recomputation of
@@ -59,6 +63,10 @@ val sq_error : t -> float
 val sq_error_direct : t -> float
 (** Recomputed from scratch — used by tests to validate the
     incremental bookkeeping. *)
+
+val check_invariant : t -> bool
+(** Every key of every representative's out-edge map is itself a
+    representative — exposed for property tests. *)
 
 val delta : t -> int -> int -> delta option
 (** [delta t u v] evaluates the candidate merge of representatives [u]

@@ -5,7 +5,11 @@
     [TSBUILD] consumes the best ([pop_min]).  An interval heap supports
     both in [O(log n)].
 
-    Elements carry a float priority; ties are broken arbitrarily. *)
+    Elements carry a float priority.  Ties are not broken by any rule
+    on the elements, but by the heap's shape, which is a function of the
+    push/pop history alone: the same sequence of operations always pops
+    the same elements in the same order.  [TSBUILD]'s output, and the
+    equivalence gate pinning it, rely on that. *)
 
 type 'a t
 

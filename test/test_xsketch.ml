@@ -71,6 +71,13 @@ let training =
   let qs = Workload.positive ~seed:77 ~n:10 stable in
   List.map (fun q -> (q, Twig.Eval.selectivity d q)) qs
 
+(* Workload-driven builds take seconds each; the builder is
+   deterministic and its model immutable, so every test reading a build
+   of one budget shares a single one. *)
+let built_4k = lazy (Builder.build stable ~training ~budget:4096)
+
+let built_8k = lazy (Builder.build stable ~training ~budget:8192)
+
 let test_label_split () =
   let xs = Builder.label_split stable ~initial_buckets:1 in
   Alcotest.(check int) "one node per label"
@@ -82,7 +89,7 @@ let test_label_split () =
 
 let test_build_grows_to_budget () =
   let budget = 4096 in
-  let xs = Builder.build stable ~training ~budget in
+  let xs = Lazy.force built_4k in
   Alcotest.(check bool) "reached budget ballpark" true
     (Model.size_bytes xs >= budget / 2);
   Alcotest.(check bool) "more nodes than label split" true
@@ -112,7 +119,7 @@ let test_estimate_empty () =
     (Xsketch.Estimate.tuples xs (Twig.Parse.query "//nothere"))
 
 let test_path_prob_bounds () =
-  let xs = Builder.build stable ~training ~budget:4096 in
+  let xs = Lazy.force built_4k in
   let paths = [ "//movie"; "//movie/genre"; "//actor[/role]"; "/movie" ] in
   List.iter
     (fun src ->
@@ -130,7 +137,7 @@ let prop_estimates_finite =
 (* ---------------- answer sampling ---------------- *)
 
 let test_sample_positive () =
-  let xs = Builder.build stable ~training ~budget:8192 in
+  let xs = Lazy.force built_8k in
   let q = Twig.Parse.query "//movie{/genre}" in
   match Xsketch.Answer.sample ~seed:3 xs q with
   | None -> Alcotest.fail "expected a sampled answer"
@@ -140,13 +147,13 @@ let test_sample_positive () =
     Alcotest.(check bool) "movies sampled" true (Tree.count_label movie t > 0)
 
 let test_sample_negative_empty () =
-  let xs = Builder.build stable ~training ~budget:8192 in
+  let xs = Lazy.force built_8k in
   let q = Twig.Parse.query "//movie{/nothere}" in
   Alcotest.(check bool) "required miss empties" true
     (Xsketch.Answer.sample ~seed:3 xs q = None)
 
 let test_sample_deterministic () =
-  let xs = Builder.build stable ~training ~budget:8192 in
+  let xs = Lazy.force built_8k in
   let q = Twig.Parse.query "//tvseries{//episode?}" in
   let a = Xsketch.Answer.sample ~seed:9 xs q and b = Xsketch.Answer.sample ~seed:9 xs q in
   match (a, b) with
@@ -155,14 +162,14 @@ let test_sample_deterministic () =
   | _ -> Alcotest.fail "determinism violated"
 
 let test_sample_budget_cap () =
-  let xs = Builder.build stable ~training ~budget:8192 in
+  let xs = Lazy.force built_8k in
   let q = Twig.Parse.query "//movie{//name?}" in
   match Xsketch.Answer.sample ~seed:1 ~max_nodes:50 xs q with
   | None -> ()
   | Some t -> Alcotest.(check bool) "cap respected" true (Tree.size t <= 51)
 
 let test_size_accounting () =
-  let xs = Builder.build stable ~training ~budget:4096 in
+  let xs = Lazy.force built_4k in
   let by_hand =
     Array.fold_left
       (fun acc (n : Model.node) ->

@@ -12,7 +12,7 @@
 #                                  # ingest-chaos, write-chaos,
 #                                  # serve-bench, overload-bench,
 #                                  # repair-bench, ingest-bench,
-#                                  # build-bench
+#                                  # build-bench, perfbench-unit
 #
 # The chaos stages are seeded; set CHAOS_SEED=<n> to replay a failure
 # with a specific seed.  The seed in use is printed.
@@ -174,12 +174,20 @@ stage_ingest_bench() {
 
 # Build-throughput bench + regression gate: stable-summary build
 # nodes/sec over a generated XMark document, compression-to-budget and
-# snapshot save/load; throughput must not fall below the committed
-# BENCH_build.json baseline's floor.
+# snapshot save/load; throughput must not fall below, and compression
+# time must not rise above, the committed BENCH_build.json baseline's
+# floor and ceiling.
 stage_build_bench() {
   CHAOS_SEED="${CHAOS_SEED:-90125}" dune exec bench/build_bench.exe -- \
     --out BENCH_build.latest.json --assert \
     --baseline BENCH_build.json --tolerance 1.0
+}
+
+# Unit tests of the end-to-end benchmark's arithmetic (perfbench/):
+# tail percentiles, failed-operation charging, span self-times,
+# throughput windows, latency breakdowns and selectivity error.
+stage_perfbench_unit() {
+  python3 -m unittest discover -s perfbench -p 'test_*.py'
 }
 
 stage build              stage_build
@@ -196,6 +204,7 @@ stage overload-bench     stage_overload_bench
 stage repair-bench       stage_repair_bench
 stage ingest-bench       stage_ingest_bench
 stage build-bench        stage_build_bench
+stage perfbench-unit     stage_perfbench_unit
 
 if [ -z "$RAN_ANY" ]; then
   echo "no such stage:$STAGES" >&2
